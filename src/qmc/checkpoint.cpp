@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "qmc/crowd_sweep.h"
 #include "qmc/miniqmc_context.h"
 
 namespace mqc::ckpt {
@@ -802,15 +803,19 @@ namespace {
 /// and exit the process when the abort fault fires at this boundary.
 void boundary_snapshot(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                        const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                       const DmcRunState* dmc, int step, int steps, MiniQMCResult& result)
+                       const CrowdSet& crowds, const DmcRunState* dmc, int step, int steps,
+                       MiniQMCResult& result)
 {
 #ifdef MQC_CONTRACTS
   // Snapshot points sit between team regions: no facade evaluation may own
-  // any walker's resource here, or the snapshot would capture scratch
-  // mid-flight.
-  for (const WalkerState& w : walkers)
-    mqc_contract(!w.ores.contract_live,
+  // the resource of any crowd's scratch (where the sweep's batches keep
+  // their weights) here, or the snapshot would capture walker output
+  // buffers mid-flight.
+  for (const auto& scr : crowds.scratch)
+    mqc_contract(!scr || !scr->ores.contract_live,
                  "checkpoint at step %d taken while an OrbitalResource is live", step);
+#else
+  (void)crowds;
 #endif
   const bool interval_hit = rt.interval > 0 && step % rt.interval == 0;
   const bool final_hit = step == steps;
@@ -846,21 +851,23 @@ void boundary_snapshot(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
 
 void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                               const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                              int step, int steps, MiniQMCResult& result)
+                              const CrowdSet& crowds, int step, int steps,
+                              MiniQMCResult& result)
 {
   if (!rt.enabled())
     return;
-  boundary_snapshot(rt, cfg, sys, walkers, nullptr, step, steps, result);
+  boundary_snapshot(rt, cfg, sys, walkers, crowds, nullptr, step, steps, result);
 }
 
 void dmc_checkpoint_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                              const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                             DmcRunState& dmc, int step, int steps, MiniQMCResult& result)
+                             const CrowdSet& crowds, DmcRunState& dmc, int step, int steps,
+                             MiniQMCResult& result)
 {
   if (!rt.enabled())
     return;
   assert(dmc.weights.size() == walkers.size());
-  boundary_snapshot(rt, cfg, sys, walkers, &dmc, step, steps, result);
+  boundary_snapshot(rt, cfg, sys, walkers, crowds, &dmc, step, steps, result);
 }
 
 int resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,

@@ -18,7 +18,9 @@
 // Two consumers:
 //   * run_miniqmc() with cfg.driver == DriverMode::Crowd — the float
 //     miniQMC sweep, batching VGH (moves), VGL (kinetic) and quadrature V
-//     per crowd (implementation in crowd_driver.cpp);
+//     per crowd.  It is a one-shard WalkerPopulation (walker_population.h)
+//     swept by the one sweep body, crowd_sweep_steps (crowd_sweep.h);
+//     DriverMode::PerWalker is the same sweep at crowd size 1;
 //   * WavefunctionCrowd<T> below — lock-step pricing for a set of
 //     SlaterJastrow wave functions, templated so the equivalence tests can
 //     run it in float and double.

@@ -1,55 +1,23 @@
-// The DMC branching sweep: dynamic walker populations with drift-diffusion
-// proposals, weight-window population control, full-state walker cloning,
-// and contiguous crowd/shard re-blocking after every branch step.  See
-// dmc_driver.h for the design contract; the per-walker arithmetic and the
-// replay-mode sweep body are the shared crowd-sweep core (crowd_sweep.h),
-// which is what makes the fixed-population replay oracle bit-for-bit a VMC
-// crowd run.
+// The DMC branching driver: generations of the shared crowd sweep with
+// Langevin drift, weight-window population control, full-state walker
+// cloning, and contiguous crowd/shard re-blocking after every branch step.
+// See dmc_driver.h for the design contract.  The sweep body, the shard
+// systems and the crowd layout are crowd_sweep.h's, shared with
+// WalkerPopulation, which is what makes the fixed-population replay oracle
+// bit-for-bit a VMC crowd run.
 #include "qmc/dmc_driver.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "core/coef_storage.h"
 #include "qmc/crowd_sweep.h"
 
 namespace mqc::detail {
 
 namespace {
-
-/// One lock-step crowd: a contiguous walker range inside one shard (the
-/// WalkerPopulation decomposition, rebuilt after every branch step).
-struct DmcCrowdRef
-{
-  int shard = 0;
-  int first = 0;
-  int count = 0;
-};
-
-/// Contiguous walker -> shard -> crowd re-blocking for the CURRENT
-/// population size.  Empty shards (population below the shard count after
-/// deaths) simply contribute no crowds; the shard systems and their
-/// first-touch replicas are never touched.
-std::vector<DmcCrowdRef> decompose_population(int nw, int num_shards, int crowd_cap)
-{
-  std::vector<DmcCrowdRef> crowds;
-  for (int s = 0; s < num_shards; ++s) {
-    const Range r = block_range(static_cast<std::size_t>(nw),
-                                static_cast<std::size_t>(num_shards),
-                                static_cast<std::size_t>(s));
-    const int shard_nw = static_cast<int>(r.size());
-    if (shard_nw == 0)
-      continue;
-    const int csize = crowd_cap > 0 ? std::min(crowd_cap, shard_nw) : shard_nw;
-    for (int first = static_cast<int>(r.first); first < static_cast<int>(r.last); first += csize)
-      crowds.push_back({s, first, std::min(static_cast<int>(r.last) - first, csize)});
-  }
-  return crowds;
-}
 
 /// Deterministic local-energy proxy: the (negated, per-electron) log
 /// magnitude of the Slater part, read from the const incremental log-det
@@ -61,92 +29,14 @@ double dmc_local_energy(const WalkerState& w, int nel)
   return -(w.det_up.log_det() + w.det_dn.log_det()) / static_cast<double>(nel);
 }
 
-/// The full-DMC generation sweep: crowd_sweep_steps plus Langevin drift.
-/// Before each electron's proposal batch, one extra VGL request at the
-/// CURRENT positions supplies the gradient of that electron's own orbital
-/// column, which biases the proposal center by tau * v (magnitude-clamped
-/// at 1/sqrt(tau), the standard near-node guard).  The diffusion part still
-/// draws exactly three gaussians per electron via propose(), so the rng
-/// draw structure matches the VMC sweep move for move.  Everything else —
-/// measurement phase included — is the crowd-sweep body verbatim.
-void dmc_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
-                     std::vector<WalkerState>& walkers, int first, int count, CrowdScratch& scr,
-                     ProfileRegistry& cprof, TeamHandle inner, int step_begin, int step_end)
-{
-  const double tau = cfg.dmc_tau;
-  const double vmax = 1.0 / std::sqrt(tau);
-  for (int s = step_begin; s < step_end; ++s) {
-    for (int e = 0; e < sys.nel; ++e) {
-      // Drift source: VGL at the crowd's current positions of electron e.
-      {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_vgl(sys, cfg, walkers, first, count, e, scr, inner);
-      }
-      const int col = e < sys.norb ? e : e - sys.norb;
-      for (int i = 0; i < count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-        ++w.attempted;
-        double gx, gy, gz;
-        if (sys.aos_outputs) {
-          const qmc_real* g = w.out_aos->g.data();
-          gx = static_cast<double>(g[3 * col + 0]);
-          gy = static_cast<double>(g[3 * col + 1]);
-          gz = static_cast<double>(g[3 * col + 2]);
-        } else {
-          gx = static_cast<double>(w.out_soa->gx()[col]);
-          gy = static_cast<double>(w.out_soa->gy()[col]);
-          gz = static_cast<double>(w.out_soa->gz()[col]);
-        }
-        const double vnorm = std::sqrt(gx * gx + gy * gy + gz * gz);
-        const double scale = vnorm > vmax ? tau * vmax / vnorm : tau;
-        const Vec3<qmc_real> r_old = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-        const Vec3<qmc_real> r_drift{static_cast<qmc_real>(r_old.x + scale * gx),
-                                     static_cast<qmc_real>(r_old.y + scale * gy),
-                                     static_cast<qmc_real>(r_old.z + scale * gz)};
-        scr.rnew[static_cast<std::size_t>(i)] = propose(w.rng, r_drift, cfg.move_sigma);
-      }
-      {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_vgh(sys, walkers, first, count, scr, inner);
-      }
-      for (int i = 0; i < count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-        const qmc_real* v = sys.aos_outputs ? w.out_aos->v.data() : w.out_soa->v.data();
-        metropolis_move(w, sys, cfg, e, scr.rnew[static_cast<std::size_t>(i)], v);
-      }
-    }
-
-    // Measurement phase: identical to the VMC crowd sweep.
-    for (int e = 0; e < sys.nel; ++e) {
-      {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_vgl(sys, cfg, walkers, first, count, e, scr, inner);
-      }
-      for (int i = 0; i < count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-        const Vec3<qmc_real> re = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-        for (int q = 0; q < cfg.quadrature_points; ++q)
-          w.quad_r[static_cast<std::size_t>(q)] = propose(w.rng, re, 0.5);
-        quadrature_dist_jastrow(w, sys, cfg, e);
-      }
-      if (cfg.quadrature_points > 0) {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_quad_v(sys, cfg, walkers, first, count, scr, inner);
-      }
-    }
-    for (int i = 0; i < count; ++i)
-      full_jastrow(walkers[static_cast<std::size_t>(first + i)], sys, cfg);
-  }
-}
-
 } // namespace
 
 MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
 {
-  // ---- shard 0: the master system (generates the coefficient table) ------
-  std::vector<std::unique_ptr<MiniQMCSystem>> shard_sys;
-  shard_sys.push_back(std::make_unique<MiniQMCSystem>(cfg));
-  const MiniQMCSystem& sys0 = *shard_sys.front();
+  // Shard systems over first-touch replicas, built once: branching only
+  // changes the walker->shard/crowd map, never where a table lives.
+  const ShardSet shards(cfg, 0);
+  const MiniQMCSystem& sys0 = shards.master();
   const int nw0 = sys0.nw;
 
   // Effective branching knobs (clamped here, hashed raw in the config hash).
@@ -160,60 +50,23 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
   const double wmax = std::max(cfg.dmc_weight_min, cfg.dmc_weight_max);
   const double gen_tau = cfg.dmc_tau * gen_steps;
   const bool replay = cfg.dmc_replay;
-
-  // ---- shards 1..n-1: first-touch replicas + shard-local systems ---------
-  // Exactly the WalkerPopulation placement: one team member per shard copies
-  // the coefficient table ON ITS OWN THREAD and builds the shard's engines
-  // over the replica.  Identical table values make this bit-for-bit neutral;
-  // the replicas are built once and never move — only the walker->shard map
-  // is rebuilt after branch steps.
-  const int num_shards = std::min(resolve_shard_count(0), nw0);
-  shard_sys.resize(static_cast<std::size_t>(num_shards));
-  CoefReplicaSet<qmc_real> replicas(sys0.coefs, num_shards);
-  team_for(TeamHandle::of(num_shards), num_shards, [&](int s) {
-    if (s > 0)
-      shard_sys[static_cast<std::size_t>(s)] =
-          std::make_unique<MiniQMCSystem>(cfg, replicas.replicate(s));
-  });
-
-  // Crowd-size cap per shard, resolved like the crowd driver (explicit > 0,
-  // 0 = whole shard, -1 = tuned size from cfg.wisdom).
-  int crowd_cap = cfg.crowd_size;
-  if (crowd_cap < 0)
-    crowd_cap = sys0.tuned_crowd_size;
+  const bool drift = cfg.driver == DriverMode::DMC && !cfg.dmc_replay;
+  const int crowd_cap = resolve_crowd_cap(cfg, sys0);
 
   std::vector<WalkerState> walkers(static_cast<std::size_t>(nw0));
-  std::vector<DmcCrowdRef> crowds = decompose_population(nw0, num_shards, crowd_cap);
-  const int init_crowds = static_cast<int>(crowds.size());
-
-  const ThreadPartition part = resolve_team_partition(cfg, sys0, init_crowds);
+  CrowdSet crowds;
+  crowds.reblock(nw0, shards.size(), crowd_cap);
+  const ThreadPartition part = resolve_team_partition(cfg, sys0, crowds.size());
   const TeamHandle inner = TeamHandle::inner_of(part);
 
   MiniQMCResult result;
-  result.num_walkers = nw0;
-  result.num_electrons = sys0.nel;
-  result.num_orbitals = sys0.norb;
-  result.crowd_size_used = crowd_cap > 0 ? std::min(crowd_cap, nw0) : nw0;
-  result.spline_path = sys0.spo.capabilities().native_multi_eval ? EvalPath::MultiPosition
-                                                                 : EvalPath::SinglePosition;
-  result.precision_path = sys0.precision;
-  result.team_path = classify_team_path(part.outer, part.inner);
-  result.outer_threads_used = part.outer;
-  result.inner_threads_used = part.inner;
-  result.dmc_shards_used = num_shards;
+  surface_schedule(result, sys0, crowd_cap, part);
+  result.dmc_shards_used = shards.size();
   result.dmc_population.reserve(static_cast<std::size_t>(generations));
 
-  Stopwatch total_watch;
-
-  // ---- setup (not profiled): each crowd initializes its own walkers on
-  // its shard's system — same flat walker ids as every other driver, so the
-  // replay oracle starts from the identical population ----------------------
-  team_for(TeamHandle::of(init_crowds), init_crowds, [&](int cid) {
-    const DmcCrowdRef c = crowds[static_cast<std::size_t>(cid)];
-    const MiniQMCSystem& ssys = *shard_sys[static_cast<std::size_t>(c.shard)];
-    for (int wid = c.first; wid < c.first + c.count; ++wid)
-      init_walker(walkers[static_cast<std::size_t>(wid)], ssys, cfg, wid);
-  });
+  // ---- setup (not profiled): the same flat walker ids as every other
+  // driver, so the replay oracle starts from the identical population -------
+  init_crowd_walkers(shards, cfg, walkers, crowds, inner);
 
   DmcRunState st;
   st.weights.assign(static_cast<std::size_t>(nw0), 1.0);
@@ -223,10 +76,10 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
   const CheckpointRuntime ckrt = make_checkpoint_runtime(cfg, sys0);
   const int resumed_step = dmc_resume_from_checkpoint(ckrt, cfg, sys0, walkers, st, result);
   int gen = 0;
-  if (resumed_step > 0) {
+  if (result.resumed_from_step >= 0) { // the walker vector was rebuilt
     gen = st.generation;
     assert(resumed_step == gen * gen_steps);
-    crowds = decompose_population(static_cast<int>(walkers.size()), num_shards, crowd_cap);
+    crowds.reblock(static_cast<int>(walkers.size()), shards.size(), crowd_cap);
   }
 
   // Trial-energy seed for a fresh full-DMC start: the mean local-energy
@@ -240,36 +93,20 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
   }
 
   // ---- the generation loop ------------------------------------------------
-  // Each generation: one team region sweeps every crowd gen_steps steps
-  // (replay: the unmodified VMC crowd body; full DMC: the drift variant),
-  // then — serial, outside any region — the branch step, re-blocking, and
-  // the checkpoint boundary.  CrowdScratch is rebuilt per generation on the
-  // sweeping thread (first-touch): branching reorders the walker vector, so
-  // the gathered pointer tables are only generation-invariant.
+  // Each generation: one team region sweeps every crowd gen_steps steps,
+  // then — serial, outside any region — the branch step, the checkpoint
+  // boundary and the re-blocking.  Crowd profiles are merged every
+  // generation, so the work of walkers that die is kept.
+  Stopwatch watch;
   const int entry_gen = gen;
-  std::vector<ProfileRegistry> crowd_profiles;
   for (; gen < generations; ++gen) {
     const int step_begin = gen * gen_steps;
     const int step_end = step_begin + gen_steps;
-    const int num_crowds = static_cast<int>(crowds.size());
-    crowd_profiles.assign(static_cast<std::size_t>(num_crowds), ProfileRegistry{});
-    team_for(TeamHandle::of(num_crowds), num_crowds, [&](int cid) {
-      const DmcCrowdRef c = crowds[static_cast<std::size_t>(cid)];
-      const MiniQMCSystem& ssys = *shard_sys[static_cast<std::size_t>(c.shard)];
-      for (int wid = c.first; wid < c.first + c.count; ++wid)
-        walkers[static_cast<std::size_t>(wid)].set_team(inner.bound_to_current_region());
-      CrowdScratch scr(walkers, c.first, c.count, ssys);
-      auto& cprof = crowd_profiles[static_cast<std::size_t>(cid)];
-      if (replay)
-        crowd_sweep_steps(ssys, cfg, walkers, c.first, c.count, scr, cprof, inner, step_begin,
-                          step_end);
-      else
-        dmc_sweep_steps(ssys, cfg, walkers, c.first, c.count, scr, cprof, inner, step_begin,
-                        step_end);
-    });
-    for (const auto& p : crowd_profiles)
+    sweep_crowds(shards, cfg, walkers, crowds, inner, step_begin, step_end, drift);
+    for (auto& p : crowds.profiles) {
       result.profile.merge(p);
-
+      p.clear();
+    }
     // ---- branch step (full DMC only): weights -> multiplicities ----------
     // Serial, in walker-id order, on the walkers' own streams — identical
     // under every crowd/shard decomposition.
@@ -331,22 +168,23 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
       st.trial_energy -=
           cfg.dmc_feedback *
           std::log(static_cast<double>(walkers.size()) / static_cast<double>(target));
-      // Re-block the survivors contiguously across the resident shards.
-      crowds = decompose_population(static_cast<int>(walkers.size()), num_shards, crowd_cap);
     }
     st.generation = gen + 1;
     result.dmc_population.push_back(static_cast<int>(walkers.size()));
 
-    dmc_checkpoint_boundary(ckrt, cfg, sys0, walkers, st, step_end, total_steps, result);
+    dmc_checkpoint_boundary(ckrt, cfg, sys0, walkers, crowds, st, step_end, total_steps, result);
+    // Re-block the survivors contiguously across the resident shards.
+    if (!replay)
+      crowds.reblock(static_cast<int>(walkers.size()), shards.size(), crowd_cap);
   }
   // End-of-run snapshot guarantee for runs that never entered the loop
   // (zero generations, or a resume at/past the budget) — same contract as
   // the VMC drivers: a set checkpoint path always leaves a snapshot.
   if (entry_gen >= generations)
-    dmc_checkpoint_boundary(ckrt, cfg, sys0, walkers, st, entry_gen * gen_steps,
+    dmc_checkpoint_boundary(ckrt, cfg, sys0, walkers, crowds, st, entry_gen * gen_steps,
                             entry_gen * gen_steps, result);
 
-  result.seconds = total_watch.elapsed();
+  result.seconds = watch.elapsed();
   result.num_walkers = static_cast<int>(walkers.size());
   result.dmc_births = st.births;   // cumulative across resume (restored from Meta)
   result.dmc_deaths = st.deaths;

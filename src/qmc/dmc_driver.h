@@ -5,16 +5,16 @@
 // with Gaussian noise, and carry a branching weight that periodically
 // converts into birth/death — the population grows, shrinks, and must be
 // re-blocked across crowds and shards at runtime.  This driver builds that
-// on the shared crowd-sweep core (crowd_sweep.h):
+// on the one sweep body, crowd_sweep_steps (crowd_sweep.h):
 //
 //   * A run is cfg.dmc_generations *generations* of cfg.dmc_gen_steps
 //     lock-step sweeps each.  Within a generation the population is fixed
-//     and every crowd advances through the identical per-walker arithmetic
-//     the VMC drivers use; drift is the only addition — one extra VGL batch
-//     at the current positions of each electron, whose gradient column
-//     biases that electron's proposal by tau * v (clamped).  The proposal
-//     still draws exactly three gaussians per electron from the walker's
-//     own stream, so the draw-sequence structure matches VMC move for move.
+//     and every crowd advances through crowd_sweep_steps with drift on —
+//     one extra VGL batch at the current positions of each electron, whose
+//     gradient column biases that electron's proposal by tau * v (clamped).
+//     The proposal still draws exactly three gaussians per electron from
+//     the walker's own stream, so the draw-sequence structure matches VMC
+//     move for move.
 //   * At each generation boundary (serial, outside any team region, in
 //     walker-id order) weights update by exp(-tau*gen_steps*(E_L - E_T)),
 //     clamp into the weight window [dmc_weight_min, dmc_weight_max], and
@@ -29,14 +29,17 @@
 //     parent state + child stream.  The trial energy then moves by the
 //     feedback rule E_T -= dmc_feedback * log(N / N_target).
 //   * After every branch step the surviving walkers are re-blocked
-//     contiguously across the same socket-sharded systems the
-//     WalkerPopulation service uses (first-touch coefficient replicas are
-//     built once and never move; only the walker->shard/crowd map changes).
+//     contiguously across the shard systems (ShardSet), with the crowd
+//     layout (CrowdSet) and crowd-size resolution the WalkerPopulation
+//     service uses: first-touch coefficient replicas are built once and
+//     never move; only the walker->shard/crowd map changes.
+//   * Profiles are per crowd and merged every generation, so the work of
+//     walkers that a branch step kills stays in MiniQMCResult::profile.
 //
 // The oracle: with cfg.dmc_replay set, drift, weighting and branching are
-// disabled entirely (multiplicity pinned to 1) and each generation runs the
-// unmodified crowd_sweep_steps body — the run is then bit-for-bit a VMC
-// crowd run of dmc_generations*dmc_gen_steps steps, for every layout, crowd
+// disabled entirely (multiplicity pinned to 1) and each generation runs
+// crowd_sweep_steps with drift off, the body every VMC driver runs — the
+// run is then bit-for-bit a VMC crowd run of dmc_generations*dmc_gen_steps steps, for every layout, crowd
 // size, delay rank, partition shape, and shard count (tests/test_dmc.cpp).
 // Full DMC runs are seed-deterministic: identical population trace, birth/
 // death counters, trial energy and per-walker fingerprints on every rerun
@@ -52,7 +55,7 @@
 //
 // Entry point: run_miniqmc() with cfg.driver == DriverMode::DMC
 // (implementation in dmc_driver.cpp; internal plumbing declared in
-// miniqmc_context.h).
+// miniqmc_context.h and crowd_sweep.h).
 #ifndef MQC_QMC_DMC_DRIVER_H
 #define MQC_QMC_DMC_DRIVER_H
 

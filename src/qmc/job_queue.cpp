@@ -155,7 +155,7 @@ struct JobQueue::Impl
       if (active == 0)
         break;
       detail::crowd_sweep_steps(sys, base, walkers, 0, active, scr, prof,
-                                TeamHandle::serial(), s, s + 1);
+                                TeamHandle::serial(), s, s + 1, /*drift=*/false);
     }
 
     for (std::size_t ji = 0; ji < runnable.size(); ++ji) {

@@ -1,16 +1,16 @@
-// Internal state shared by the miniQMC sweep drivers.
+// Internal state of the miniQMC sweep: the shared read-only system, the
+// per-walker state, and the per-walker arithmetic of one electron move.
 //
-// Both drivers — the classic one-walker-per-thread sweep (miniqmc_driver.cpp)
-// and the lock-step crowd sweep (crowd_driver.cpp) — run the identical
-// Monte Carlo process: same system setup, same per-walker rng streams, same
-// distance-table/Jastrow/determinant arithmetic, same Metropolis decisions.
-// They differ ONLY in how the B-spline evaluations are scheduled (one
-// position at a time vs. one multi-position batch per crowd).  Everything
-// order-independent lives here so the equivalence is true by construction
-// and the tests can require bit-for-bit identical trajectories.
+// The one sweep body (crowd_sweep.h crowd_sweep_steps) calls
+// metropolis_move, quadrature_dist_jastrow and full_jastrow for every walker
+// of a crowd; every driver — PerWalker and Crowd (both a WalkerPopulation of
+// some crowd size), DMC and the JobQueue — advances walkers through it.  A
+// walker's arithmetic and rng draws are a function of its own state only, so
+// trajectories are bit-for-bit identical for every crowd size, shard count
+// and thread partition, which the tests require.
 //
-// This header is an implementation detail of the two driver translation
-// units; it is not part of the public API surface.
+// This header is an implementation detail of the qmc/ translation units; it
+// is not part of the public API surface.
 #ifndef MQC_QMC_MINIQMC_CONTEXT_H
 #define MQC_QMC_MINIQMC_CONTEXT_H
 
@@ -43,6 +43,8 @@
 namespace mqc::detail {
 
 using qmc_real = float; ///< kernel precision (the paper's miniQMC is all SP)
+
+struct CrowdSet; // crowd_sweep.h
 
 /// Everything shared read-only across walkers: the crystal, the coefficient
 /// table and engines, the Jastrow functors, and the ion sets.
@@ -112,7 +114,7 @@ struct MiniQMCSystem
 
     // Engines: only the configured layout is exercised in the sweep.  The
     // OrbitalSet facade over the configured engine is THE evaluation entry
-    // point for both drivers; the raw engine members stay for tests that
+    // point of the sweep; the raw engine members stay for tests that
     // cross-check against direct kernel calls.  The mixed engines read the
     // SAME float coefficient table (mixed changes how it is accumulated,
     // not what is stored — and a direct qmc_real build is bit-identical to
@@ -181,7 +183,7 @@ struct MiniQMCSystem
   /// over the same shared table — only when the resolved precision is Mixed.
   std::unique_ptr<BsplineSoA<qmc_real, double>> spo_soa_mixed;
   std::unique_ptr<MultiBspline<qmc_real, double>> spo_aosoa_mixed;
-  OrbitalSet<qmc_real> spo;  ///< the one evaluation seam both drivers use
+  OrbitalSet<qmc_real> spo;  ///< the one evaluation seam of the sweep
   /// The precision family the engines actually run (cfg.precision_path
   /// after the AoS resolution) — surfaced as MiniQMCResult::precision_path
   /// and mixed into the checkpoint config hash.
@@ -216,22 +218,14 @@ struct WalkerState
   std::unique_ptr<WalkerAoS<qmc_real>> out_aos;
   std::unique_ptr<WalkerSoA<qmc_real>> out_soa;
   // Pseudopotential quadrature batch: one V output slice per quadrature
-  // point, evaluated with a single multi-position facade request.  The
-  // walker's OrbitalResource owns the weight scratch so the timed hot loop
-  // allocates nothing.
+  // point, filled by the crowd's multi-position V request (the weight
+  // scratch lives in the crowd's CrowdScratch, so the hot loop allocates
+  // nothing).
   aligned_vector<qmc_real> quad_v;
   std::vector<qmc_real*> quad_v_ptrs;
-  OrbitalResource<qmc_real> ores;
   std::vector<Vec3<qmc_real>> quad_r;
   DetUpdater det_up, det_dn;
-  /// The walker's inner team (common/threading.h), assigned by the driver
-  /// from its ThreadPartition before the sweep: multi-position facade
-  /// requests and delayed-update flushes of this walker may fork this many
-  /// threads under the driver's outer region.  Scheduling only — every team
-  /// size produces the bit-identical trajectory.
-  TeamHandle team = TeamHandle::serial();
   Xoshiro256 rng;
-  ProfileRegistry profile;
   std::vector<double> phi;           ///< determinant column scratch
   std::vector<Vec3<qmc_real>> jgrad; ///< full-Jastrow gradient scratch
   std::vector<qmc_real> jlap;        ///< full-Jastrow Laplacian scratch
@@ -239,72 +233,19 @@ struct WalkerState
   std::size_t attempted = 0;
   std::size_t orbital_evals = 0;
 
-  // -- per-walker spline evaluations, all through the OrbitalSet facade ----
-  //
-  // The only layout-dependent step left is picking the walker's output
-  // buffer object (the AoS baseline fills AoS-shaped gradient/Hessian
-  // groups, every other engine fills SoA component streams) — derived once
-  // from the system's capabilities (sys.aos_outputs), never passed around;
-  // which engine entry point runs is the facade's dispatch, not the
-  // walker's.
-
-  const qmc_real* eval_v(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
-  {
-    orbital_evals += static_cast<std::size_t>(sys.norb);
-    qmc_real* v = sys.aos_outputs ? out_aos->v.data() : out_soa->v.data();
-    sys.spo.evaluate_one(DerivLevel::V, r, v, nullptr, nullptr, out_soa->stride);
-    return v;
-  }
-
-  const qmc_real* eval_vgh(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
-  {
-    orbital_evals += static_cast<std::size_t>(sys.norb);
-    qmc_real* v = sys.aos_outputs ? out_aos->v.data() : out_soa->v.data();
-    qmc_real* g = sys.aos_outputs ? out_aos->g.data() : out_soa->g.data();
-    qmc_real* h = sys.aos_outputs ? out_aos->h.data() : out_soa->h.data();
-    sys.spo.evaluate_one(DerivLevel::VGH, r, v, g, h, out_soa->stride);
-    return v;
-  }
-
-  void eval_vgl(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
-  {
-    orbital_evals += static_cast<std::size_t>(sys.norb);
-    qmc_real* v = sys.aos_outputs ? out_aos->v.data() : out_soa->v.data();
-    qmc_real* g = sys.aos_outputs ? out_aos->g.data() : out_soa->g.data();
-    qmc_real* l = sys.aos_outputs ? out_aos->l.data() : out_soa->l.data();
-    sys.spo.evaluate_one(DerivLevel::VGL, r, v, g, l, out_soa->stride);
-  }
-
-  /// Multi-position V batch over the quadrature points of one electron: one
-  /// facade request for the whole batch.  SoA/AoSoA engines precompute all
-  /// weight sets (into the walker's resource) and sweep each coefficient
-  /// slice once; the AoS baseline has no batched path and runs per-point
-  /// calls — the same facade dispatch the drivers rely on.
-  void eval_v_batch(const MiniQMCSystem& sys, const Vec3<qmc_real>* r, int count)
-  {
-    orbital_evals += static_cast<std::size_t>(count) * static_cast<std::size_t>(sys.norb);
-    OrbitalEvalRequest<qmc_real> rq;
-    rq.deriv = DerivLevel::V;
-    rq.positions = r;
-    rq.count = count;
-    rq.v = quad_v_ptrs.data();
-    rq.parallel = team.parallel();
-    rq.team = team;
-    sys.spo.evaluate(rq, ores);
-  }
-
-  /// Hand this walker its inner team: batched facade requests and the
-  /// delayed determinant flush schedule onto it from here on.
+  /// Hand this walker its crowd's inner team (common/threading.h): its
+  /// delayed determinant flushes may fork that many threads under the outer
+  /// region.  Scheduling only — every team size gives the bit-identical
+  /// trajectory.
   void set_team(TeamHandle t)
   {
-    team = t;
     det_up.set_team(t);
     det_dn.set_team(t);
   }
 };
 
 /// Resolve the nested-team partition for an outer region of @p outer_work
-/// members (walkers or crowds), shared by both drivers: the config knob
+/// members (crowds), shared by every driver: the config knob
 /// (with -1 resolved through the wisdom entry) feeds the topology-aware
 /// ThreadPartition::resolve, inner teams > 1 ask the runtime for a second
 /// active nesting level, and the resulting schedule is classified for the
@@ -335,9 +276,6 @@ inline Vec3<qmc_real> propose(Xoshiro256& rng, const Vec3<qmc_real>& r, double s
                         r.z + static_cast<qmc_real>(sigma * rng.gaussian())};
 }
 
-/// Walker setup (not profiled): rng stream, positions, tables, output
-/// buffers, determinants.  Identical for both drivers — each walker's state
-/// is a function of (config, walker id) only, never of crowd membership.
 /// Allocate every buffer of @p w for (@p sys, @p cfg) without computing any
 /// physical state: particle sets, distance tables, output/scratch buffers,
 /// and determinant engines sized for cfg.delay_rank.  This is the shared
@@ -366,7 +304,6 @@ inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const Mi
     w.quad_v_ptrs[static_cast<std::size_t>(q)] =
         w.quad_v.data() + static_cast<std::size_t>(q) * sys.out_pad;
   w.quad_r.resize(static_cast<std::size_t>(sys.nq));
-  (void)w.ores.weights_for(sys.nq); // pre-size the facade scratch off the hot path
   w.phi.resize(static_cast<std::size_t>(sys.norb));
   w.jgrad.resize(static_cast<std::size_t>(sys.nel));
   w.jlap.resize(static_cast<std::size_t>(sys.nel));
@@ -374,6 +311,9 @@ inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const Mi
   w.det_dn = DetUpdater(cfg.delay_rank);
 }
 
+/// Walker setup (not profiled): rng stream, positions, tables, output
+/// buffers, determinants.  Each walker's state is a function of (config,
+/// walker id) only, never of crowd or shard membership.
 inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
                         int wid)
 {
@@ -392,14 +332,18 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
 
   // Determinants from the initial configuration (double precision).
   {
+    qmc_real* v = sys.aos_outputs ? w.out_aos->v.data() : w.out_soa->v.data();
+    const auto eval_v = [&](int e) {
+      sys.spo.evaluate_one(DerivLevel::V, w.elec_soa[e], v, nullptr, nullptr, w.out_soa->stride);
+    };
     Matrix<double> a_up(sys.norb), a_dn(sys.norb);
     for (int e = 0; e < sys.norb; ++e) {
-      const qmc_real* v = w.eval_v(sys, w.elec_soa[e]);
+      eval_v(e);
       for (int n = 0; n < sys.norb; ++n)
         a_up(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0); // diagonal boost
     }
     for (int e = 0; e < sys.norb; ++e) {
-      const qmc_real* v = w.eval_v(sys, w.elec_soa[sys.norb + e]);
+      eval_v(sys.norb + e);
       for (int n = 0; n < sys.norb; ++n)
         a_dn(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0);
     }
@@ -409,22 +353,21 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
     w.det_up.build(a_up);
     w.det_dn.build(a_dn);
   }
-  w.orbital_evals = 0; // setup evaluations excluded from throughput
 }
 
 /// Price and decide one electron move once the trial position and its
 /// orbital values are known: distance-table temp rows, Jastrow ratio,
 /// determinant ratio, Metropolis accept/reject with commits.  @p v is the
-/// freshly evaluated orbital-value vector at @p r_new — the ONLY input that
-/// differs in provenance between the drivers (single-position call vs.
-/// crowd batch slice); everything inside is identical arithmetic on the
-/// walker's own state and rng stream.
+/// walker's slice of the crowd's orbital-value batch at @p r_new; everything
+/// inside is arithmetic on the walker's own state and rng stream.  Sections
+/// are timed into the crowd's registry @p prof.
 inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
-                            int e, const Vec3<qmc_real>& r_new, const qmc_real* v)
+                            int e, const Vec3<qmc_real>& r_new, const qmc_real* v,
+                            ProfileRegistry& prof)
 {
   double log_jr = 0.0;
   {
-    ScopedTimer t(w.profile, kSectionDistance);
+    ScopedTimer t(prof, kSectionDistance);
     if (cfg.optimized_dt_jastrow) {
       w.ee_soa->compute_temp(w.elec_soa, r_new, e);
       w.ei_soa->compute_temp(r_new);
@@ -434,7 +377,7 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
     }
   }
   {
-    ScopedTimer t(w.profile, kSectionJastrow);
+    ScopedTimer t(prof, kSectionJastrow);
     if (cfg.optimized_dt_jastrow)
       log_jr = sys.j2_soa.ratio_log(*w.ee_soa, e) + sys.j1_soa.ratio_log(*w.ei_soa, e);
     else
@@ -445,7 +388,7 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
   DetUpdater& det = e < sys.norb ? w.det_up : w.det_dn;
   const int col = e < sys.norb ? e : e - sys.norb;
   {
-    ScopedTimer t(w.profile, kSectionDeterminant);
+    ScopedTimer t(prof, kSectionDeterminant);
     for (int n = 0; n < sys.norb; ++n)
       w.phi[static_cast<std::size_t>(n)] = static_cast<double>(v[n]) + (n == col ? 1.0 : 0.0);
     det_ratio = det.ratio(w.phi.data(), col);
@@ -455,7 +398,7 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
   if (w.rng.uniform() < p) {
     ++w.accepted;
     {
-      ScopedTimer t(w.profile, kSectionDistance);
+      ScopedTimer t(prof, kSectionDistance);
       if (cfg.optimized_dt_jastrow) {
         w.ee_soa->accept_move(e);
         w.ei_soa->accept_move(e);
@@ -465,7 +408,7 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
       }
     }
     {
-      ScopedTimer t(w.profile, kSectionDeterminant);
+      ScopedTimer t(prof, kSectionDeterminant);
       det.accept_move(w.phi.data(), col);
     }
     w.elec_soa.set(e, r_new);
@@ -477,18 +420,18 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
 /// per-point distance rows and one-body Jastrow ratios.  The quadrature
 /// positions must already be in w.quad_r (proposed from the walker's rng).
 inline void quadrature_dist_jastrow(WalkerState& w, const MiniQMCSystem& sys,
-                                    const MiniQMCConfig& cfg, int e)
+                                    const MiniQMCConfig& cfg, int e, ProfileRegistry& prof)
 {
   for (int q = 0; q < cfg.quadrature_points; ++q) {
     {
-      ScopedTimer t(w.profile, kSectionDistance);
+      ScopedTimer t(prof, kSectionDistance);
       if (cfg.optimized_dt_jastrow)
         w.ei_soa->compute_temp(w.quad_r[static_cast<std::size_t>(q)]);
       else
         w.ei_aos->compute_temp(w.quad_r[static_cast<std::size_t>(q)]);
     }
     {
-      ScopedTimer t(w.profile, kSectionJastrow);
+      ScopedTimer t(prof, kSectionJastrow);
       if (cfg.optimized_dt_jastrow)
         (void)sys.j1_soa.ratio_log(*w.ei_soa, e);
       else
@@ -498,9 +441,10 @@ inline void quadrature_dist_jastrow(WalkerState& w, const MiniQMCSystem& sys,
 }
 
 /// Full Jastrow gradients/Laplacians once per step (local energy analogue).
-inline void full_jastrow(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg)
+inline void full_jastrow(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
+                         ProfileRegistry& prof)
 {
-  ScopedTimer t(w.profile, kSectionJastrow);
+  ScopedTimer t(prof, kSectionJastrow);
   if (cfg.optimized_dt_jastrow) {
     (void)sys.j2_soa.evaluate_log(*w.ee_soa, w.jgrad.data(), w.jlap.data());
     (void)sys.j1_soa.evaluate_log(*w.ei_soa, w.jgrad.data(), w.jlap.data());
@@ -510,8 +454,8 @@ inline void full_jastrow(WalkerState& w, const MiniQMCSystem& sys, const MiniQMC
   }
 }
 
-/// Reduce per-walker state into the result (profiles, counters, per-walker
-/// trajectory fingerprints).
+/// Reduce per-walker state into the result (counters, per-walker trajectory
+/// fingerprints).  Profiles are per crowd; callers merge them.
 inline void reduce_result(MiniQMCResult& result, std::vector<WalkerState>& walkers)
 {
   std::size_t attempted = 0, accepted = 0;
@@ -519,7 +463,6 @@ inline void reduce_result(MiniQMCResult& result, std::vector<WalkerState>& walke
   result.walker_log_det.resize(walkers.size());
   for (std::size_t i = 0; i < walkers.size(); ++i) {
     WalkerState& w = walkers[i];
-    result.profile.merge(w.profile);
     attempted += w.attempted;
     accepted += w.accepted;
     result.spline_orbital_evals += w.orbital_evals;
@@ -531,18 +474,16 @@ inline void reduce_result(MiniQMCResult& result, std::vector<WalkerState>& walke
       attempted > 0 ? static_cast<double>(accepted) / static_cast<double>(attempted) : 0.0;
 }
 
-/// The crowd sweep (crowd_driver.cpp); dispatched to by run_miniqmc.
-MiniQMCResult run_miniqmc_crowd(const MiniQMCConfig& cfg);
-
 /// The DMC branching driver (dmc_driver.cpp); dispatched to by run_miniqmc.
 MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg);
 
 // --------------------------------------------------------------------------
 // Checkpoint glue (implemented in qmc/checkpoint.cpp).
 //
-// Both drivers run the identical epoch-chunked protocol: advance all walkers
-// to the next step boundary inside one team region, then — OUTSIDE any team
-// region, with no OrbitalResource live — snapshot / inject faults / stop.
+// WalkerPopulation and the DMC driver run the same epoch-chunked protocol:
+// advance all walkers to the next step boundary inside one team region, then
+// — OUTSIDE any team region, with no OrbitalResource live — snapshot /
+// inject faults / stop.
 // Chunking the sweep into epochs is trajectory-neutral: per-walker state and
 // rng streams persist across regions, and the stored walker teams stay
 // region-valid because TeamHandle binds by nesting level (threading.h).
@@ -577,11 +518,12 @@ struct CheckpointRuntime
 
 /// The step-boundary snapshot point (call between team regions): writes an
 /// interval-aligned or final snapshot, applies armed file faults, and exits
-/// the process when the abort fault fires at this boundary.  Asserts no
-/// walker's OrbitalResource is live under MQC_CONTRACTS.
+/// the process when the abort fault fires at this boundary.  Asserts under
+/// MQC_CONTRACTS that no OrbitalResource of @p crowds' scratch is live.
 void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                               const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                              int step, int steps, MiniQMCResult& result);
+                              const CrowdSet& crowds, int step, int steps,
+                              MiniQMCResult& result);
 
 /// Resume attempt (call after init_walker, before the sweep): restores every
 /// walker from the snapshot at rt.path (with `.prev` fallback) and returns
@@ -649,7 +591,8 @@ struct DmcRunState
 /// live population (walkers.size() walker sections) and the DMC Meta tail.
 void dmc_checkpoint_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                              const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                             DmcRunState& dmc, int step, int steps, MiniQMCResult& result);
+                             const CrowdSet& crowds, DmcRunState& dmc, int step, int steps,
+                             MiniQMCResult& result);
 
 /// DMC flavour of resume_from_checkpoint: resizes @p walkers to the
 /// snapshot's population (shell-init + restore per walker), restores the

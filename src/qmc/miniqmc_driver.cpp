@@ -1,123 +1,24 @@
 #include "qmc/miniqmc_driver.h"
 
-#include <vector>
-
 #include "qmc/miniqmc_context.h"
+#include "qmc/walker_population.h"
 
 namespace mqc {
 
-using detail::MiniQMCSystem;
-using detail::WalkerState;
-using detail::qmc_real;
-
 MiniQMCResult run_miniqmc(const MiniQMCConfig& cfg)
 {
-  if (cfg.driver == DriverMode::Crowd)
-    return detail::run_miniqmc_crowd(cfg);
   if (cfg.driver == DriverMode::DMC)
     return detail::run_miniqmc_dmc(cfg);
-
-  const MiniQMCSystem sys(cfg);
-  std::vector<WalkerState> walkers(static_cast<std::size_t>(sys.nw));
-
-  // Nested-team partition: one outer member per walker; each walker's
-  // multi-position quadrature batches and delayed-update flushes may fork
-  // its inner team under the outer region.  With the default one-walker-
-  // per-hardware-thread population the partition resolves to inner = 1 (the
-  // classic flat schedule); smaller populations get the leftover threads.
-  const ThreadPartition part = detail::resolve_team_partition(cfg, sys, sys.nw);
-  const TeamHandle inner = TeamHandle::inner_of(part);
-
-  MiniQMCResult result;
-  result.num_walkers = sys.nw;
-  result.num_electrons = sys.nel;
-  result.num_orbitals = sys.norb;
-  result.precision_path = sys.precision;
-  result.team_path = classify_team_path(part.outer, part.inner);
-  result.outer_threads_used = part.outer;
-  result.inner_threads_used = part.inner;
-
-  Stopwatch total_watch;
-
-  // ---- setup (not profiled): positions, tables, determinants ------------
-  // team_for over walker ids (not thread_id indexing) so every walker is
-  // initialized and swept even when the runtime grants fewer threads than
-  // requested (OMP_THREAD_LIMIT, dynamic teams).  Stored walker teams are
-  // region-bound: a stale resolve after the outer region closes aborts
-  // under MQC_CONTRACTS.
-  team_for(TeamHandle::of(sys.nw), sys.nw, [&](int wid) {
-    detail::init_walker(walkers[static_cast<std::size_t>(wid)], sys, cfg, wid);
-    walkers[static_cast<std::size_t>(wid)].set_team(inner.bound_to_current_region());
-  });
-
-  // ---- resume (outside any team region): overwrite the freshly built
-  // walker state from the snapshot, if one is usable ----------------------
-  const detail::CheckpointRuntime ckrt = detail::make_checkpoint_runtime(cfg, sys);
-  int step = detail::resume_from_checkpoint(ckrt, cfg, sys, walkers, result);
-
-  // ---- the profiled Monte Carlo sweep, one walker per iteration ---------
-  // Epoch-chunked: advance every walker to the next step boundary inside
-  // one team region, snapshot between regions (checkpoint_step_boundary is
-  // the crash-consistency point — and a no-op without a checkpoint path,
-  // in which case the whole run is a single region as before).  Chunking is
-  // trajectory-neutral: walker state and rng streams persist across
-  // regions, and the stored teams bind by nesting level (threading.h).
-  const int entry_step = step;
-  while (step < cfg.steps) {
-    const int boundary = detail::next_epoch_boundary(ckrt, step, cfg.steps);
-    team_for(TeamHandle::of(sys.nw), sys.nw, [&](int wid) {
-      WalkerState& w = walkers[static_cast<std::size_t>(wid)];
-      for (int s = step; s < boundary; ++s) {
-        // Drift-diffusion phase: particle-by-particle moves.
-        for (int e = 0; e < sys.nel; ++e) {
-          ++w.attempted;
-          const Vec3<qmc_real> r_old = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-          const Vec3<qmc_real> r_new = detail::propose(w.rng, r_old, cfg.move_sigma);
-
-          const qmc_real* v;
-          {
-            ScopedTimer t(w.profile, kSectionBspline);
-            v = w.eval_vgh(sys, r_new); // VGH drives drift-diffusion (paper §IV)
-          }
-          detail::metropolis_move(w, sys, cfg, e, r_new, v);
-        }
-
-        // Measurement phase: kinetic energy (VGL) and a pseudopotential-like
-        // quadrature (V at displaced points + one-body Jastrow ratio each).
-        // The quadrature V evaluations of one electron form a position batch:
-        // propose all points first (same rng stream as per-point evaluation,
-        // since neither distance tables nor kernels consume randomness), run
-        // the per-point distance/Jastrow ratios, then one multi-position V.
-        for (int e = 0; e < sys.nel; ++e) {
-          const Vec3<qmc_real> re = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-          {
-            ScopedTimer t(w.profile, kSectionBspline);
-            w.eval_vgl(sys, re);
-          }
-          for (int q = 0; q < cfg.quadrature_points; ++q)
-            w.quad_r[static_cast<std::size_t>(q)] = detail::propose(w.rng, re, 0.5);
-          detail::quadrature_dist_jastrow(w, sys, cfg, e);
-          if (cfg.quadrature_points > 0) {
-            ScopedTimer t(w.profile, kSectionBspline);
-            w.eval_v_batch(sys, w.quad_r.data(), cfg.quadrature_points);
-          }
-        }
-        detail::full_jastrow(w, sys, cfg);
-      }
-    });
-    step = boundary;
-    detail::checkpoint_step_boundary(ckrt, cfg, sys, walkers, step, cfg.steps, result);
-  }
-  // A run that never entered the loop (steps == 0, or a resume landing at or
-  // past the step budget) still owes its end-of-run snapshot: a set
-  // checkpoint path must always leave a resumable snapshot behind, counted
-  // in checkpoints_written.  Passing the walkers' actual step as the budget
-  // makes this a pure final write (the abort fault requires step < steps).
-  if (entry_step >= cfg.steps)
-    detail::checkpoint_step_boundary(ckrt, cfg, sys, walkers, step, step, result);
-  result.seconds = total_watch.elapsed();
-  detail::reduce_result(result, walkers);
-  return result;
+  // PerWalker and Crowd are one process at two crowd sizes: a one-shard
+  // population swept to cfg.steps.
+  PopulationConfig pcfg;
+  pcfg.qmc = cfg;
+  if (cfg.driver == DriverMode::PerWalker)
+    pcfg.qmc.crowd_size = 1;
+  pcfg.num_shards = 1;
+  WalkerPopulation pop(pcfg);
+  pop.run_to_step(cfg.steps);
+  return pop.result();
 }
 
 } // namespace mqc

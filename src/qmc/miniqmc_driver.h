@@ -9,11 +9,12 @@
 //   per step:      a measurement phase (B-spline VGL for kinetic energy,
 //                  V at quadrature points for the pseudopotential analogue).
 // The pseudopotential quadrature points of one electron are evaluated as a
-// single multi-position V batch (evaluate_v_multi): the SoA/AoSoA engines
-// sweep the coefficient table once for the whole quadrature set instead of
-// once per point.  Walkers run one per OpenMP thread and share the read-only
-// coefficient table; every section is timed into a ProfileRegistry from
-// which the Table II/III percentage rows are printed.
+// single multi-position V batch: the SoA/AoSoA engines sweep the
+// coefficient table once for the whole quadrature set instead of once per
+// point.  Every driver mode runs the one sweep body (qmc/crowd_sweep.h)
+// over lock-step crowds of walkers that share the read-only coefficient
+// table, one crowd per OpenMP thread; every section is timed into a
+// ProfileRegistry from which the Table II/III percentage rows are printed.
 #ifndef MQC_QMC_MINIQMC_DRIVER_H
 #define MQC_QMC_MINIQMC_DRIVER_H
 
@@ -38,10 +39,12 @@ enum class SpoLayout
 };
 
 /// How the walker population is advanced through the Monte Carlo sweep.
+/// PerWalker and Crowd select a crowd size, not a code path: both run the
+/// same sweep body, so their trajectories are bit-for-bit identical.
 enum class DriverMode
 {
-  PerWalker, ///< one walker per thread, single-position kernels (paper Fig. 3)
-  Crowd,     ///< lock-step crowds, multi-position kernels (qmc/crowd_driver.h)
+  PerWalker, ///< crowds of one walker, one per thread (paper Fig. 3)
+  Crowd,     ///< lock-step crowds of crowd_size walkers, multi-position kernels (qmc/crowd_driver.h)
   DMC        ///< branching driver: dynamic population, birth/death (qmc/dmc_driver.h)
 };
 
@@ -77,7 +80,7 @@ struct MiniQMCConfig
   double move_sigma = 0.4;               ///< Gaussian move width (bohr)
   std::uint64_t seed = 20170512;
   DriverMode driver = DriverMode::PerWalker;
-  /// Crowd driver only: walkers advanced in lock-step per crowd (0 => the
+  /// Crowd and DMC drivers: walkers advanced in lock-step per crowd (0 => the
   /// whole population forms one crowd; -1 => auto: the tuned crowd size from
   /// `wisdom` when an entry exists, else the whole population).  When the
   /// size does not divide num_walkers, the remainder runs as an extra,
@@ -85,9 +88,9 @@ struct MiniQMCConfig
   int crowd_size = 0;
   /// Determinant updates: <= 1 => per-move Sherman-Morrison (DiracDeterminant,
   /// default), k >= 2 => delayed rank-k window (DelayedDeterminant).  Applies
-  /// to both drivers so their trajectories stay comparable.
+  /// to every driver so their trajectories stay comparable.
   int delay_rank = 0;
-  /// Inner team size per outer member (a crowd, or one walker in the
+  /// Inner team size per outer member (a crowd; one walker per crowd in the
   /// per-walker driver): how many threads that member's multi-position
   /// spline requests and delayed-update flushes may fork UNDER the outer
   /// region (the paper's Opt C nested layer).  0 = auto — the topology-aware
@@ -99,7 +102,7 @@ struct MiniQMCConfig
   /// schedule actually run is surfaced as MiniQMCResult::team_path.
   int inner_threads = 0;
   /// Checkpoint/restore (qmc/checkpoint.h).  Empty path = no checkpointing.
-  /// With a path set, both drivers snapshot the full resumable walker state
+  /// With a path set, every driver snapshots the full resumable walker state
   /// at step boundaries: every `checkpoint_interval` steps when the interval
   /// is > 0, plus once at the end of the run.  Snapshot writes are pure
   /// observers — trajectories are bit-for-bit identical with checkpointing
@@ -146,7 +149,9 @@ struct MiniQMCConfig
 struct MiniQMCResult
 {
   ProfileRegistry profile;     ///< merged across walkers (section keys above)
-  double seconds = 0.0;        ///< wall time of the sweep region
+  /// Wall time of the sweep region (the epoch or generation loop with its
+  /// snapshots); system setup, walker initialization and resume excluded.
+  double seconds = 0.0;
   double acceptance_ratio = 0.0;
   int num_walkers = 0;
   int num_electrons = 0;
@@ -160,25 +165,26 @@ struct MiniQMCResult
   std::vector<double> walker_log_det; ///< log|det_up| + log|det_dn| at the end
   /// The schedule the driver ran for the drift-diffusion VGH evaluations —
   /// an explicit OrbitalSet-capabilities decision, surfaced so benchmark
-  /// comparisons can't silently measure a fallback (the AoS baseline has no
-  /// multi-position path, so a crowd sweep over it degrades to lock-step
-  /// single-position calls).
+  /// comparisons can't silently measure a fallback.  SinglePosition whenever
+  /// crowd_size_used is 1 (every request holds one position) or the engine
+  /// has no multi-position path (the AoS baseline degrades a crowd batch to
+  /// lock-step single-position calls); MultiPosition otherwise.
   EvalPath spline_path = EvalPath::SinglePosition;
   /// The precision family the engines actually ran — cfg.precision_path
   /// after the AoS-has-no-mixed-variant resolution (explicit, surfaced,
   /// tested; never a silent fallback).
   PrecisionPath precision_path = PrecisionPath::Native;
   /// Resolved crowd size the sweep actually used (1 for the per-walker
-  /// driver; for the crowd driver: cfg.crowd_size after the 0 = whole
-  /// population / -1 = tuned-from-wisdom resolution and clamping).
+  /// driver; for the crowd and DMC drivers: cfg.crowd_size after the 0 =
+  /// whole population / -1 = tuned-from-wisdom resolution and clamping).
   int crowd_size_used = 1;
   /// The nested-team schedule the sweep ran — like spline_path, an explicit
   /// decision (partition resolution + runtime nesting capability), surfaced
   /// so benchmarks can prove the inner teams actually engaged instead of
   /// silently measuring serialized nested regions.
   TeamPath team_path = TeamPath::Flat;
-  /// Resolved partition: outer members the sweep region spawned (crowds, or
-  /// walkers for the per-walker driver) × inner team size per member.
+  /// Resolved partition: outer members the sweep region spawned (crowds;
+  /// one per walker for the per-walker driver) × inner team size per member.
   int outer_threads_used = 1;
   int inner_threads_used = 1;
   /// Step the sweep restarted from when cfg.resume found a usable snapshot;

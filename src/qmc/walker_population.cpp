@@ -1,153 +1,55 @@
-// WalkerPopulation implementation: shard construction with first-touch
-// replica placement, the resident epoch-chunked crowd sweep, and population
-// persistence over the PR 7 checkpoint format.  See walker_population.h for
-// the design contract and crowd_sweep.h for the sweep kernel.
+// WalkerPopulation implementation: the resident epoch-chunked crowd sweep
+// and population persistence over the checkpoint format.  See
+// walker_population.h for the design contract and crowd_sweep.h for the
+// sweep kernel and the shard/crowd layout helpers.
 #include "qmc/walker_population.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "qmc/crowd_sweep.h"
 
 namespace mqc {
 
-using detail::CheckpointRuntime;
-using detail::CrowdScratch;
 using detail::MiniQMCSystem;
 using detail::WalkerState;
-using detail::qmc_real;
 
 struct WalkerPopulation::Impl
 {
-  /// One lock-step crowd: a contiguous walker range inside one shard.
-  struct CrowdRef
-  {
-    int shard = 0;
-    int first = 0;
-    int count = 0;
-  };
+  explicit Impl(const PopulationConfig& pcfg) : cfg(pcfg.qmc), shards(cfg, pcfg.num_shards) {}
 
-  MiniQMCConfig cfg;  ///< population config (qmc knobs; steps/driver unused)
-  int num_shards = 1;
-  int crowd_size = 0; ///< resolved per-shard crowd size cap
-  int step = 0;       ///< the population's Monte Carlo cursor
-
-  CoefReplicaSet<qmc_real> replicas;
-  std::vector<std::unique_ptr<MiniQMCSystem>> shard_sys; ///< [num_shards]
-  std::vector<Range> shard_walkers;                      ///< walker ids per shard
+  MiniQMCConfig cfg;      ///< population config (qmc knobs; steps/driver unused)
+  detail::ShardSet shards; ///< one system per shard over its first-touch replica
+  int step = 0;           ///< the population's Monte Carlo cursor
 
   /// ONE flat walker vector indexed by global walker id: checkpoint
   /// serialization stays exactly the drivers' (one Walker section per id),
   /// so population snapshots and run_miniqmc snapshots interoperate and the
   /// shard decomposition never leaks into the on-disk format.
   std::vector<WalkerState> walkers;
-
-  std::vector<CrowdRef> crowds;
-  std::vector<std::unique_ptr<CrowdScratch>> scratch;  ///< per crowd
-  std::vector<ProfileRegistry> crowd_profiles;         ///< per crowd
+  detail::CrowdSet crowds; ///< walker -> shard -> crowd blocking, fixed for life
   TeamHandle inner = TeamHandle::serial();
-  ThreadPartition part;
 
-  CheckpointRuntime ckrt;
+  detail::CheckpointRuntime ckrt;
   /// Provenance + cumulative counters surfaced through result(): resume
-  /// fields are written once at construction, checkpoints_written
-  /// accumulates across run_to_step calls.
+  /// fields are written once at construction, checkpoints_written and
+  /// seconds accumulate across run_to_step calls.
   MiniQMCResult status;
 };
 
-WalkerPopulation::WalkerPopulation(const PopulationConfig& pcfg) : impl_(std::make_unique<Impl>())
+WalkerPopulation::WalkerPopulation(const PopulationConfig& pcfg)
+    : impl_(std::make_unique<Impl>(pcfg))
 {
   Impl& im = *impl_;
-  im.cfg = pcfg.qmc;
+  const MiniQMCSystem& sys0 = im.shards.master();
+  const int crowd_cap = detail::resolve_crowd_cap(im.cfg, sys0);
+  im.crowds.reblock(sys0.nw, im.shards.size(), crowd_cap);
+  const ThreadPartition part = detail::resolve_team_partition(im.cfg, sys0, im.crowds.size());
+  im.inner = TeamHandle::inner_of(part);
+  detail::surface_schedule(im.status, sys0, crowd_cap, part);
 
-  // ---- shard 0: the master system (generates the coefficient table) ------
-  im.shard_sys.push_back(std::make_unique<MiniQMCSystem>(im.cfg));
-  MiniQMCSystem& sys0 = *im.shard_sys.front();
-  const int nw = sys0.nw;
-  im.num_shards = std::min(resolve_shard_count(pcfg.num_shards), nw);
-  im.shard_sys.resize(static_cast<std::size_t>(im.num_shards));
-  im.replicas = CoefReplicaSet<qmc_real>(sys0.coefs, im.num_shards);
-
-  // ---- shards 1..n-1: first-touch replicas + shard-local systems ---------
-  // One team member per shard copies the table and builds the shard's
-  // engines ON ITS OWN THREAD — under first-touch placement the replica's
-  // pages land on that thread's socket, and the shard's OrbitalSet facade
-  // (built over the replica inside MiniQMCSystem) resolves every evaluation
-  // through it.  Identical table values make this bit-for-bit neutral.
-  team_for(TeamHandle::of(im.num_shards), im.num_shards, [&](int s) {
-    if (s > 0)
-      im.shard_sys[static_cast<std::size_t>(s)] =
-          std::make_unique<MiniQMCSystem>(im.cfg, im.replicas.replicate(s));
-  });
-  // Memory-footprint provenance (opt-in, stderr like the checkpoint
-  // diagnostics): the coefficient table is the dominant resident allocation,
-  // and the replica bytes are what the precision path halves — surface them
-  // per shard so a mixed-vs-native footprint claim is checkable from a run
-  // log instead of a heap profiler.
-  if (std::getenv("MQC_VERBOSE") != nullptr) {
-    for (int s = 0; s < im.num_shards; ++s)
-      std::fprintf(stderr, "miniqmc: shard %d coef replica: %zu bytes\n", s,
-                   im.replicas.replica_bytes(s));
-    std::fprintf(stderr, "miniqmc: coef replicas total: %zu bytes across %d shard(s)\n",
-                 im.replicas.total_replica_bytes(), im.num_shards);
-  }
-
-  // ---- walker -> shard -> crowd decomposition ----------------------------
-  im.shard_walkers.resize(static_cast<std::size_t>(im.num_shards));
-  int requested = im.cfg.crowd_size;
-  if (requested < 0)
-    requested = sys0.tuned_crowd_size;
-  im.crowd_size = requested;
-  for (int s = 0; s < im.num_shards; ++s) {
-    const Range r = block_range(static_cast<std::size_t>(nw),
-                                static_cast<std::size_t>(im.num_shards),
-                                static_cast<std::size_t>(s));
-    im.shard_walkers[static_cast<std::size_t>(s)] = r;
-    const int shard_nw = static_cast<int>(r.size());
-    const int csize = requested > 0 ? std::min(requested, shard_nw) : shard_nw;
-    for (int first = static_cast<int>(r.first); first < static_cast<int>(r.last); first += csize)
-      im.crowds.push_back(
-          {s, first, std::min(static_cast<int>(r.last) - first, csize)});
-  }
-  const int num_crowds = static_cast<int>(im.crowds.size());
-
-  im.part = detail::resolve_team_partition(im.cfg, sys0, num_crowds);
-  im.inner = TeamHandle::inner_of(im.part);
-
-  im.walkers.resize(static_cast<std::size_t>(nw));
-  im.scratch.resize(static_cast<std::size_t>(num_crowds));
-  im.crowd_profiles.resize(static_cast<std::size_t>(num_crowds));
-
-  im.status.num_walkers = nw;
-  im.status.num_electrons = sys0.nel;
-  im.status.num_orbitals = sys0.norb;
-  im.status.crowd_size_used = requested > 0 ? std::min(requested, nw) : nw;
-  im.status.spline_path = sys0.spo.capabilities().native_multi_eval ? EvalPath::MultiPosition
-                                                                    : EvalPath::SinglePosition;
-  im.status.precision_path = sys0.precision;
-  im.status.team_path = classify_team_path(im.part.outer, im.part.inner);
-  im.status.outer_threads_used = im.part.outer;
-  im.status.inner_threads_used = im.part.inner;
-
-  // ---- walker init: one crowd per team member, on its shard's system -----
-  // Same region shape as every later epoch (a team_for over crowd ids), so
-  // the region-bound walker teams stay contract-valid, and the static
-  // schedule keeps the crowd->thread map stable for scratch first-touch.
-  // Walker state is a function of (config, walker id) only — the shard
-  // system passed here only changes WHERE the orbital table is read from.
-  team_for(TeamHandle::of(num_crowds), num_crowds, [&](int ci) {
-    const Impl::CrowdRef& c = im.crowds[static_cast<std::size_t>(ci)];
-    MiniQMCSystem& ssys = *im.shard_sys[static_cast<std::size_t>(c.shard)];
-    for (int wid = c.first; wid < c.first + c.count; ++wid) {
-      detail::init_walker(im.walkers[static_cast<std::size_t>(wid)], ssys, im.cfg, wid);
-      im.walkers[static_cast<std::size_t>(wid)].set_team(im.inner.bound_to_current_region());
-    }
-    im.scratch[static_cast<std::size_t>(ci)] =
-        std::make_unique<CrowdScratch>(im.walkers, c.first, c.count, ssys);
-  });
+  im.walkers.resize(static_cast<std::size_t>(sys0.nw));
+  detail::init_crowd_walkers(im.shards, im.cfg, im.walkers, im.crowds, im.inner);
 
   // ---- resume (outside any team region) ----------------------------------
   // The config hash and the Walker sections are shard-free, so a snapshot
@@ -158,7 +60,7 @@ WalkerPopulation::WalkerPopulation(const PopulationConfig& pcfg) : impl_(std::ma
 
 WalkerPopulation::~WalkerPopulation() = default;
 
-int WalkerPopulation::num_shards() const noexcept { return impl_->num_shards; }
+int WalkerPopulation::num_shards() const noexcept { return impl_->shards.size(); }
 
 int WalkerPopulation::num_walkers() const noexcept
 {
@@ -170,31 +72,30 @@ int WalkerPopulation::current_step() const noexcept { return impl_->step; }
 void WalkerPopulation::run_to_step(int target_step)
 {
   Impl& im = *impl_;
-  MiniQMCSystem& sys0 = *im.shard_sys.front();
-  const int num_crowds = static_cast<int>(im.crowds.size());
+  const MiniQMCSystem& sys0 = im.shards.master();
 
+  // Epoch-chunked: each team region advances every crowd to the next step
+  // boundary; snapshots happen between regions (a no-op without a
+  // checkpoint path, when the whole call is one region).  Chunking is
+  // trajectory-neutral: walker state and rng streams persist across
+  // regions, and the stored walker teams bind by nesting level.
   Stopwatch watch;
   const int entry_step = im.step;
   while (im.step < target_step) {
     const int boundary = detail::next_epoch_boundary(im.ckrt, im.step, target_step);
-    team_for(TeamHandle::of(num_crowds), num_crowds, [&](int ci) {
-      const Impl::CrowdRef& c = im.crowds[static_cast<std::size_t>(ci)];
-      detail::crowd_sweep_steps(*im.shard_sys[static_cast<std::size_t>(c.shard)], im.cfg,
-                                im.walkers, c.first, c.count,
-                                *im.scratch[static_cast<std::size_t>(ci)],
-                                im.crowd_profiles[static_cast<std::size_t>(ci)], im.inner,
-                                im.step, boundary);
-    });
+    detail::sweep_crowds(im.shards, im.cfg, im.walkers, im.crowds, im.inner, im.step, boundary,
+                         /*drift=*/false);
     im.step = boundary;
-    detail::checkpoint_step_boundary(im.ckrt, im.cfg, sys0, im.walkers, im.step, target_step,
-                                     im.status);
+    detail::checkpoint_step_boundary(im.ckrt, im.cfg, sys0, im.walkers, im.crowds, im.step,
+                                     target_step, im.status);
   }
-  // Same end-of-run guarantee as the drivers: a call that swept nothing
-  // (already at/past the target) still leaves a snapshot when a checkpoint
-  // path is set, so the resident state on disk always matches the cursor.
+  // A call that swept nothing (already at/past the target) still leaves a
+  // snapshot when a checkpoint path is set, so the resident state on disk
+  // always matches the cursor.  Passing the cursor as the budget makes this
+  // a pure final write (the abort fault requires step < steps).
   if (entry_step >= target_step)
-    detail::checkpoint_step_boundary(im.ckrt, im.cfg, sys0, im.walkers, im.step, im.step,
-                                     im.status);
+    detail::checkpoint_step_boundary(im.ckrt, im.cfg, sys0, im.walkers, im.crowds, im.step,
+                                     im.step, im.status);
   im.status.seconds += watch.elapsed();
 }
 
@@ -203,20 +104,20 @@ void WalkerPopulation::run_steps(int steps) { run_to_step(impl_->step + steps); 
 MiniQMCResult WalkerPopulation::result()
 {
   Impl& im = *impl_;
-  // Rebuild the aggregate from scratch on every call (walker profiles and
-  // counters are cumulative, so reducing into a fresh copy of the
+  // Rebuild the aggregate from scratch on every call (walker counters and
+  // crowd profiles are cumulative, so reducing into a fresh copy of the
   // provenance-carrying status is idempotent).
   MiniQMCResult r = im.status;
   detail::reduce_result(r, im.walkers);
-  for (const auto& p : im.crowd_profiles)
+  for (const auto& p : im.crowds.profiles)
     r.profile.merge(p);
   return r;
 }
 
 detail::MiniQMCSystem& WalkerPopulation::shard_system_internal(int shard) const
 {
-  assert(shard >= 0 && shard < impl_->num_shards);
-  return *impl_->shard_sys[static_cast<std::size_t>(shard)];
+  assert(shard >= 0 && shard < impl_->shards.size());
+  return impl_->shards[shard];
 }
 
 const MiniQMCConfig& WalkerPopulation::config_internal() const noexcept { return impl_->cfg; }

@@ -53,8 +53,9 @@ struct PopulationConfig
   /// run_miniqmc takes.  crowd_size sizes each shard's lock-step crowds
   /// (0 = one crowd per shard, -1 = tuned); steps is ignored (the population
   /// advances by explicit run_to_step targets); driver mode is ignored (the
-  /// resident sweep is always the crowd kernel, which is bit-identical to
-  /// the per-walker driver by construction).
+  /// resident sweep is always crowd_sweep_steps without drift — run_miniqmc
+  /// itself runs PerWalker as a one-shard population with crowd_size 1,
+  /// and Crowd as a one-shard population with the configured crowd_size).
   MiniQMCConfig qmc;
   /// Resident shards (the NUMA replication unit).  0 = auto: MQC_SHARDS if
   /// set, else one per socket (common/threading.h resolve_shard_count);
@@ -78,7 +79,8 @@ public:
   [[nodiscard]] int current_step() const noexcept;
 
   /// Advance every resident walker to absolute step @p target_step (no-op
-  /// when already there or past).  Epoch-chunked exactly like the drivers:
+  /// when already there or past).  This is the one VMC epoch loop (the DMC
+  /// driver has its generation loop):
   /// interval-aligned snapshots between team regions when the config has a
   /// checkpoint path, an end-of-run snapshot on every call — including
   /// calls that sweep nothing — and armed fault injection at boundaries.
@@ -88,7 +90,7 @@ public:
 
   /// Aggregate result over the resident walkers: per-walker trajectory
   /// fingerprints (walker_accepts / walker_log_det), merged profiles and
-  /// counters, plus restart provenance (resumed_from_step,
+  /// counters, `seconds` summed over the run_to_step calls' epoch loops, plus restart provenance (resumed_from_step,
   /// resume_fallback_used, resume_error) and the cumulative
   /// checkpoints_written — the same surfaced-decision fields run_miniqmc
   /// reports.  Callable between runs; fingerprints reflect the current

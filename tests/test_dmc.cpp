@@ -216,6 +216,33 @@ TEST(DmcDriver, PopulationActuallyFluctuates)
   EXPECT_EQ(r.walker_accepts.size(), static_cast<std::size_t>(r.dmc_population.back()));
 }
 
+// The profile holds the work of every walker that swept a generation,
+// including walkers that a later branch step killed.  Per walker-step the
+// Jastrow section is timed once per electron move (the ratio), nq times per
+// electron in the measurement (the quadrature one-body ratios), and once for
+// the full Jastrow evaluation.
+TEST(DmcDriver, ProfileCountsTheWorkOfKilledWalkers)
+{
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 4);
+  cfg.dmc_generations = 8;
+  cfg.dmc_gen_steps = 2;
+  cfg.dmc_tau = 0.8; // aggressive: push weights through the window fast
+  cfg.dmc_weight_min = 0.05;
+  cfg.dmc_weight_max = 8.0;
+  const MiniQMCResult r = run_miniqmc(cfg);
+  ASSERT_GT(r.dmc_deaths, 0u) << "no walker died, so no work could be lost";
+
+  std::size_t walker_steps = 0;
+  int entering = cfg.num_walkers;
+  for (int pop : r.dmc_population) {
+    walker_steps += static_cast<std::size_t>(entering) * cfg.dmc_gen_steps;
+    entering = pop;
+  }
+  const auto nel = static_cast<std::size_t>(r.num_electrons);
+  const auto nq = static_cast<std::size_t>(cfg.quadrature_points);
+  EXPECT_EQ(r.profile.calls(kSectionJastrow), walker_steps * (nel * (1 + nq) + 1));
+}
+
 // The branch step runs serially in walker-id order on the walkers' own
 // streams, so the whole run — trace, counters, fingerprints — must be
 // invariant under every crowd/shard/partition decomposition.

@@ -117,6 +117,27 @@ TEST(MiniQMC, DeterministicAcrossRuns)
   EXPECT_EQ(r1.spline_orbital_evals, r2.spline_orbital_evals);
 }
 
+// MiniQMCResult::seconds is the wall time of the sweep region only.  A call
+// with nothing to sweep spends its wall time on system and walker setup, so
+// it must report almost none of it.
+TEST(MiniQMC, SecondsExcludeSetup)
+{
+  for (DriverMode mode : {DriverMode::PerWalker, DriverMode::Crowd, DriverMode::DMC}) {
+    MiniQMCConfig cfg;
+    cfg.supercell = {3, 3, 1};
+    cfg.spo = SpoLayout::AoSoA;
+    cfg.optimized_dt_jastrow = true;
+    cfg.num_walkers = 8;
+    cfg.driver = mode;
+    cfg.steps = 0;
+    cfg.dmc_generations = 0;
+    Stopwatch call;
+    const MiniQMCResult r = run_miniqmc(cfg);
+    const double wall = call.elapsed();
+    EXPECT_LT(r.seconds, 0.1 * wall) << "driver mode " << static_cast<int>(mode);
+  }
+}
+
 TEST(MiniQMC, SoAJastrowEvaluationBeatsAoSAtPaperScale)
 {
 #if defined(MQC_NO_VECTOR)

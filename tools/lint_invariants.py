@@ -20,6 +20,11 @@ suite cannot see (ROADMAP.md, "Invariants"):
                       the mixed-precision storage decision and is confined to
                       the convert_storage seam (core/coef_storage.h); engines
                       narrow only through their TStore/TCompute parameters.
+  * sweep-body        the per-walker move arithmetic (`metropolis_move`,
+                      `quadrature_dist_jastrow`, `full_jastrow`) is called
+                      only from the one sweep body, crowd_sweep_steps in
+                      src/qmc/crowd_sweep.h; a second walker loop would drift
+                      from it and break bit-for-bit equivalence of drivers.
   * unseeded-rng      `rand()`, `srand()`, `time()`, `std::random_device` and
                       default-constructed standard engines are banned in src/:
                       trajectories must be bit-for-bit reproducible from the
@@ -122,6 +127,19 @@ RULES = [
         "ad-hoc narrowing cast silently re-makes that accuracy decision outside "
         "the audited seam (engines narrow via their TStore/TCompute parameters)",
         allowed_paths=("src/core/coef_storage.h",),
+    ),
+    Rule(
+        "sweep-body",
+        "per-walker move arithmetic called outside the one sweep body",
+        r"\b(metropolis_move|quadrature_dist_jastrow|full_jastrow)\s*\(",
+        "walkers advance through crowd_sweep_steps (src/qmc/crowd_sweep.h) only; "
+        "every driver runs that one body at some crowd size, so a second walker "
+        "loop cannot drift from it and trajectories stay bit-for-bit identical "
+        "across drivers",
+        allowed_paths=(
+            "src/qmc/crowd_sweep.h",
+            "src/qmc/miniqmc_context.h",
+        ),
     ),
     Rule(
         "unseeded-rng",
