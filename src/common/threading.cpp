@@ -17,6 +17,9 @@
 #if defined(__unix__)
 #include <unistd.h>
 #endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace mqc {
 namespace {
@@ -216,8 +219,22 @@ int resolve_shard_count(int requested)
   return resolve_shard_count_for(requested, machine_topology());
 }
 
+int thread_budget()
+{
+  int budget = std::min(std::max(1, machine_topology().logical_cpus), std::max(1, max_threads()));
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (::sched_getaffinity(0, sizeof mask, &mask) == 0)
+    budget = std::min(budget, std::max(1, CPU_COUNT(&mask)));
+#endif
+  return budget;
+}
+
 ThreadPartition ThreadPartition::resolve(int outer_work, int requested_inner, int total_threads)
 {
+  if (total_threads <= 0)
+    total_threads = thread_budget();
   if (requested_inner <= 0) {
     // Env overrides, only consulted in auto mode: an explicit knob from the
     // caller (config, API) always wins over the environment.  A malformed

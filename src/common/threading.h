@@ -7,11 +7,11 @@
 //
 //   MachineTopology   what the host looks like (sockets × cores × SMT),
 //                     detected from sysfs, overridable via MQC_TOPOLOGY;
-//   ThreadPartition   the outer × inner split of the machine for a given
-//                     number of outer work items (crowds/walkers),
-//                     topology-aware so an inner team never straddles a
-//                     socket, overridable via MQC_PARTITION /
-//                     MQC_INNER_THREADS or config knobs;
+//   ThreadPartition   the outer × inner split of the machine's thread
+//                     budget for a given number of outer work items
+//                     (crowds/walkers), topology-aware so an inner team
+//                     never straddles a socket, overridable via
+//                     MQC_PARTITION / MQC_INNER_THREADS or config knobs;
 //   TeamHandle        the capability passed DOWN call chains ("you may use
 //                     this many threads") so no layer blindly calls
 //                     omp_get_max_threads() again inside someone else's
@@ -26,7 +26,8 @@
 // explicit flat Nw×nth decomposition, now derived from a ThreadPartition.
 //
 // Every split is trajectory-neutral by construction: teams only distribute
-// independent (tile, position-block) work items or disjoint column blocks,
+// independent (tile, position-block) work items, independent walkers of a
+// crowd, or disjoint column blocks,
 // so results are bit-for-bit identical for every partition shape — the
 // invariant tests/test_crowd.cpp enforces.
 #ifndef MQC_COMMON_THREADING_H
@@ -182,14 +183,22 @@ struct ThreadPartition
   ///   MQC_PARTITION=OxI   forces the whole partition (outer clamped to
   ///                       outer_work is NOT applied — you asked for it);
   ///   MQC_INNER_THREADS=I forces the inner size only.
-  /// `total_threads` <= 0 means omp_get_max_threads().
+  /// `total_threads` <= 0 means thread_budget().
   static ThreadPartition resolve(int outer_work, int requested_inner = 0,
                                  int total_threads = 0);
 
   /// resolve() against an explicit topology (unit-testable, no env, no omp).
+  /// `total_threads` <= 0 falls back to the topology's logical CPUs.
   static ThreadPartition resolve_for(int outer_work, int requested_inner, int total_threads,
                                      const MachineTopology& topo);
 };
+
+/// Threads this process may actually run at once: the topology's logical
+/// CPUs, capped by the OpenMP runtime's grant (omp_get_max_threads(), so
+/// OMP_NUM_THREADS) and by the CPUs in the process's affinity mask
+/// (sched_getaffinity: taskset, cpusets).  Always >= 1.  The total the auto
+/// partition splits.
+int thread_budget();
 
 /// Number of resident-population shards to run on this host.  A shard is the
 /// NUMA replication unit (qmc/walker_population.h): each shard owns a

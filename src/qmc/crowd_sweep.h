@@ -11,6 +11,17 @@
 // decomposition, which is what makes crowd size, shard counts and job
 // packing trajectory-neutral by construction.
 //
+// The crowd's inner team (Opt C) serves both levels of a crowd's work: the
+// spline requests fork their (tile, position-block) sweep on it, and the
+// per-walker phases between them (metropolis_move, the quadrature distance
+// and Jastrow ratios, full_jastrow) fork one walker per iteration through
+// team_for.  A walker touches only its own state and rng stream, so the
+// walker fork is trajectory-neutral too.  Two consequences: timers go to
+// per-walker slot registries (CrowdScratch::walker_prof, merged into the
+// crowd's registry when crowd_sweep_steps returns), and a walker of a
+// multi-walker crowd runs its determinant flush serially, since the team is
+// busy with walkers (prepare_crowd).
+//
 // The shard/crowd layout helpers below (ShardSet, CrowdSet,
 // resolve_crowd_cap, surface_schedule, init_crowd_walkers, sweep_crowds) are
 // shared by WalkerPopulation and the DMC driver, so both decompose, build and
@@ -50,6 +61,7 @@ struct CrowdScratch
     l.resize(static_cast<std::size_t>(count));
     quad_v.resize(static_cast<std::size_t>(count) * static_cast<std::size_t>(sys.nq));
     quad_pos.resize(static_cast<std::size_t>(count) * static_cast<std::size_t>(sys.nq));
+    walker_prof.resize(static_cast<std::size_t>(count));
     (void)ores.weights_for(count * sys.nq);
     for (int i = 0; i < count; ++i) {
       WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
@@ -77,6 +89,10 @@ struct CrowdScratch
   std::vector<qmc_real*> v, g, h, l;   ///< per-walker component slots
   std::vector<qmc_real*> quad_v;       ///< count*nq quadrature value slots
   std::vector<Vec3<qmc_real>> quad_pos; ///< gathered count*nq quadrature positions
+  /// One registry per walker slot: the walker phases time into their own
+  /// slot from whichever team thread runs them (ProfileRegistry is
+  /// single-threaded), and crowd_sweep_steps merges them into the crowd's.
+  std::vector<ProfileRegistry> walker_prof;
   OrbitalResource<qmc_real> ores;      ///< weight sets for the crowd's batches
 };
 
@@ -187,11 +203,12 @@ inline Vec3<qmc_real> drift_centre(const WalkerState& w, const MiniQMCSystem& sy
 /// With @p drift set (full DMC), each electron move first evaluates one VGL
 /// batch at the crowd's current positions and proposes from the drift
 /// centre (drift_centre); the proposal still draws exactly three gaussians,
-/// so the rng draw structure is the same with drift on or off.  Every timed
-/// section lands in the crowd's registry @p cprof.  Call inside the
-/// consumer's outer region (or from a plain thread with a serial @p inner
-/// team); snapshots and fault points stay OUTSIDE, at the epoch boundaries
-/// between calls.
+/// so the rng draw structure is the same with drift on or off.  The spline
+/// requests and the per-walker phases both run on the crowd's @p inner team;
+/// every timed section lands in the crowd's registry @p cprof by the time
+/// the call returns.  Call inside the consumer's outer region (or from a
+/// plain thread with a serial @p inner team); snapshots and fault points
+/// stay OUTSIDE, at the epoch boundaries between calls.
 inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
                               std::vector<WalkerState>& walkers, int first, int count,
                               CrowdScratch& scr, ProfileRegistry& cprof, TeamHandle inner,
@@ -215,11 +232,12 @@ inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
         ScopedTimer t(cprof, kSectionBspline);
         crowd_eval_vgh(sys, walkers, first, count, scr, inner);
       }
-      for (int i = 0; i < count; ++i) {
+      team_for(inner, count, [&](int i) {
         WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
         const qmc_real* v = sys.aos_outputs ? w.out_aos->v.data() : w.out_soa->v.data();
-        metropolis_move(w, sys, cfg, e, scr.rnew[static_cast<std::size_t>(i)], v, cprof);
-      }
+        metropolis_move(w, sys, cfg, e, scr.rnew[static_cast<std::size_t>(i)], v,
+                        scr.walker_prof[static_cast<std::size_t>(i)]);
+      });
     }
 
     // Measurement phase, electron by electron across the crowd: one VGL
@@ -232,20 +250,26 @@ inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
         ScopedTimer t(cprof, kSectionBspline);
         crowd_eval_vgl(sys, cfg, walkers, first, count, e, scr, inner);
       }
-      for (int i = 0; i < count; ++i) {
+      team_for(inner, count, [&](int i) {
         WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
         const Vec3<qmc_real> re = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
         for (int q = 0; q < cfg.quadrature_points; ++q)
           w.quad_r[static_cast<std::size_t>(q)] = propose(w.rng, re, 0.5);
-        quadrature_dist_jastrow(w, sys, cfg, e, cprof);
-      }
+        quadrature_dist_jastrow(w, sys, cfg, e, scr.walker_prof[static_cast<std::size_t>(i)]);
+      });
       if (cfg.quadrature_points > 0) {
         ScopedTimer t(cprof, kSectionBspline);
         crowd_eval_quad_v(sys, cfg, walkers, first, count, scr, inner);
       }
     }
-    for (int i = 0; i < count; ++i)
-      full_jastrow(walkers[static_cast<std::size_t>(first + i)], sys, cfg, cprof);
+    team_for(inner, count, [&](int i) {
+      full_jastrow(walkers[static_cast<std::size_t>(first + i)], sys, cfg,
+                   scr.walker_prof[static_cast<std::size_t>(i)]);
+    });
+  }
+  for (ProfileRegistry& p : scr.walker_prof) {
+    cprof.merge(p);
+    p.clear();
   }
 }
 
@@ -363,16 +387,21 @@ inline void surface_schedule(MiniQMCResult& r, const MiniQMCSystem& sys, int cro
   r.inner_threads_used = part.inner;
 }
 
-/// Hand the walkers of crowd @p ci the inner team, bound to the current
-/// region, and build the crowd's scratch on the calling thread: the static
-/// team_for schedule keeps the crowd->thread map stable, so the pages are
-/// first-touched where they are consumed.
+/// Hand the walkers of crowd @p ci their determinant team and build the
+/// crowd's scratch on the calling thread: the static team_for schedule keeps
+/// the crowd->thread map stable, so the pages are first-touched where they
+/// are consumed.  A one-walker crowd's walker gets the inner team, bound to
+/// the current region, for its delayed flush; in a larger crowd the inner
+/// team runs the walkers themselves (crowd_sweep_steps), so each walker's
+/// flush stays serial inside its team member.
 inline void prepare_crowd(const ShardSet& shards, std::vector<WalkerState>& walkers,
                           CrowdSet& crowds, int ci, TeamHandle inner)
 {
   const CrowdRef& c = crowds.refs[static_cast<std::size_t>(ci)];
+  const TeamHandle det_team =
+      c.count > 1 ? TeamHandle::serial() : inner.bound_to_current_region();
   for (int wid = c.first; wid < c.first + c.count; ++wid)
-    walkers[static_cast<std::size_t>(wid)].set_team(inner.bound_to_current_region());
+    walkers[static_cast<std::size_t>(wid)].set_team(det_team);
   crowds.scratch[static_cast<std::size_t>(ci)] =
       std::make_unique<CrowdScratch>(walkers, c.first, c.count, shards[c.shard]);
 }

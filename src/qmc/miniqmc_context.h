@@ -233,10 +233,9 @@ struct WalkerState
   std::size_t attempted = 0;
   std::size_t orbital_evals = 0;
 
-  /// Hand this walker its crowd's inner team (common/threading.h): its
-  /// delayed determinant flushes may fork that many threads under the outer
-  /// region.  Scheduling only — every team size gives the bit-identical
-  /// trajectory.
+  /// Hand this walker the team its delayed determinant flushes may fork
+  /// (common/threading.h; prepare_crowd picks it).  Scheduling only — every
+  /// team size gives the bit-identical trajectory.
   void set_team(TeamHandle t)
   {
     det_up.set_team(t);
@@ -360,7 +359,7 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
 /// determinant ratio, Metropolis accept/reject with commits.  @p v is the
 /// walker's slice of the crowd's orbital-value batch at @p r_new; everything
 /// inside is arithmetic on the walker's own state and rng stream.  Sections
-/// are timed into the crowd's registry @p prof.
+/// are timed into @p prof, the walker's slot registry in a crowd sweep.
 inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
                             int e, const Vec3<qmc_real>& r_new, const qmc_real* v,
                             ProfileRegistry& prof)

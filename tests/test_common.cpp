@@ -205,7 +205,8 @@ TEST(Threading, TeamCoordinatesLayout)
 
 namespace {
 
-/// RAII env var override for topology/partition tests.
+/// RAII env var override for topology/partition tests (null @p value
+/// unsets the variable for the scope).
 struct ScopedEnv
 {
   ScopedEnv(const char* name, const char* value) : name_(name)
@@ -214,7 +215,10 @@ struct ScopedEnv
     if (old != nullptr)
       saved_ = old;
     had_ = old != nullptr;
-    ::setenv(name, value, 1);
+    if (value != nullptr)
+      ::setenv(name, value, 1);
+    else
+      ::unsetenv(name);
   }
   ~ScopedEnv()
   {
@@ -297,6 +301,43 @@ TEST(ThreadPartition, AutoInnerNeverStraddlesASocket)
   EXPECT_EQ(ThreadPartition::resolve_for(5, 0, 12, topo).inner, 2);
   // 12 / 3 crowds = 4 — 4 does not divide 6; largest divisor <= 4 is 3.
   EXPECT_EQ(ThreadPartition::resolve_for(3, 0, 12, topo).inner, 3);
+}
+
+TEST(ThreadPartition, AutoSplitsTheExplicitTotalNotTheTopology)
+{
+  // A 16-CPU topology under a 2-thread budget: the explicit total is what
+  // gets split, never the CPU count the process may not run on.
+  MachineTopology topo;
+  topo.logical_cpus = 16;
+  topo.sockets = 1;
+  topo.cores_per_socket = 16;
+  topo.smt = 1;
+  EXPECT_EQ(ThreadPartition::resolve_for(1, 0, 2, topo).inner, 2);
+  EXPECT_EQ(ThreadPartition::resolve_for(2, 0, 2, topo).inner, 1);
+  EXPECT_EQ(ThreadPartition::resolve_for(1, 0, 3, topo).inner, 2); // largest divisor of 16 <= 3
+  // No total at all: resolve_for itself falls back to the topology.
+  EXPECT_EQ(ThreadPartition::resolve_for(1, 0, 0, topo).inner, 16);
+}
+
+TEST(ThreadPartition, AutoTotalIsTheThreadBudget)
+{
+  // resolve() without an explicit total splits thread_budget(): never more
+  // than the OpenMP grant or the topology's CPUs.
+  const int budget = thread_budget();
+  EXPECT_GE(budget, 1);
+  EXPECT_LE(budget, max_threads());
+  EXPECT_LE(budget, machine_topology().logical_cpus);
+  ScopedEnv part("MQC_PARTITION", nullptr);
+  ScopedEnv inner("MQC_INNER_THREADS", nullptr);
+  EXPECT_LE(ThreadPartition::resolve(1).inner, budget);
+#ifdef _OPENMP
+  // OMP_NUM_THREADS=1 (here its API twin) leaves nothing for an inner team.
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  EXPECT_EQ(thread_budget(), 1);
+  EXPECT_EQ(ThreadPartition::resolve(1).inner, 1);
+  omp_set_num_threads(saved);
+#endif
 }
 
 TEST(ThreadPartition, EnvOverridesApplyOnlyInAutoMode)

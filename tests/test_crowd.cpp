@@ -27,6 +27,7 @@
 #include "core/tuner.h"
 #include "particles/graphite.h"
 #include "qmc/crowd_driver.h"
+#include "qmc/crowd_sweep.h"
 #include "qmc/miniqmc_driver.h"
 #include "qmc/miniqmc_tuner.h"
 #include "qmc/wavefunction.h"
@@ -157,7 +158,7 @@ TEST(CrowdDriver, NestedPartitionsAreBitForBitAcrossShapes)
   // neither the tile count nor the batch, teams wider than the work — must
   // reproduce the per-walker trajectory bit-for-bit on every layout,
   // because inner teams only distribute independent (tile, position-block)
-  // work items and disjoint flush column blocks.
+  // work items, independent walkers and disjoint flush column blocks.
   struct LayoutCase
   {
     SpoLayout spo;
@@ -507,6 +508,149 @@ TEST(CrowdDriver, ProfileCoversAllSections)
   EXPECT_GT(res.profile.seconds(kSectionDeterminant), 0.0);
   EXPECT_GT(res.acceptance_ratio, 0.0);
   EXPECT_LT(res.acceptance_ratio, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Walker phases on the inner team: a crowd's metropolis_move, quadrature
+// ratios and full_jastrow fork one walker per team iteration, on the same
+// inner team the spline requests use.  Walkers are independent, so every
+// team width — including widths that split the crowd unevenly or exceed it
+// — must reproduce the inner-1 run exactly, profile call counts included.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Full-DMC provenance on top of the per-walker fingerprints.
+void expect_identical_dmc_runs(const MiniQMCResult& a, const MiniQMCResult& b, const char* what)
+{
+  expect_identical_trajectories(a, b, what);
+  EXPECT_EQ(a.dmc_population, b.dmc_population) << what;
+  EXPECT_EQ(a.dmc_births, b.dmc_births) << what;
+  EXPECT_EQ(a.dmc_deaths, b.dmc_deaths) << what;
+  EXPECT_EQ(a.dmc_trial_energy, b.dmc_trial_energy) << what;
+}
+
+} // namespace
+
+TEST(CrowdDriver, WalkerPhasesForkBitForBitOnUnevenSplits)
+{
+  struct Split
+  {
+    int walkers;
+    int inner;
+  };
+  // One crowd each: 3 walkers on a team of 2 (one member runs two walkers),
+  // 2 walkers on a team of 4 (the team is capped at the walker count).
+  const Split splits[] = {{3, 2}, {2, 4}};
+  for (const bool dmc : {false, true}) {
+    for (const int delay : {0, 4}) {
+      for (const auto& sp : splits) {
+        auto cfg = crowd_test_config();
+        cfg.spo = SpoLayout::AoSoA;
+        cfg.tile_size = 16;
+        cfg.optimized_dt_jastrow = true;
+        cfg.delay_rank = delay;
+        cfg.num_walkers = sp.walkers;
+        cfg.crowd_size = 0;
+        if (dmc) {
+          cfg.driver = DriverMode::DMC; // drift on: dmc_replay stays false
+          cfg.dmc_generations = 4;
+          cfg.dmc_gen_steps = 1;
+          cfg.dmc_tau = 0.4;
+        } else {
+          cfg.driver = DriverMode::Crowd;
+        }
+        SCOPED_TRACE(::testing::Message() << (dmc ? "DMC" : "VMC") << " delay=" << delay
+                                          << " walkers=" << sp.walkers << " inner=" << sp.inner);
+        cfg.inner_threads = 1;
+        const auto serial = run_miniqmc(cfg);
+        cfg.inner_threads = sp.inner;
+        const auto forked = run_miniqmc(cfg);
+        EXPECT_EQ(forked.inner_threads_used, sp.inner);
+        EXPECT_EQ(forked.team_path, TeamPath::NestedInner);
+        expect_identical_dmc_runs(serial, forked, "walker phases on the inner team");
+      }
+    }
+  }
+}
+
+TEST(CrowdDriver, ProfileCallCountsAreExactOnAForkedTeam)
+{
+  // The walker phases time into per-walker slot registries merged into the
+  // crowd's: a forked team must count exactly the calls the serial crowd
+  // master does — no lost or doubled entries from concurrent timers.
+  auto cfg = crowd_test_config();
+  cfg.spo = SpoLayout::AoSoA;
+  cfg.tile_size = 16;
+  cfg.optimized_dt_jastrow = true;
+  cfg.driver = DriverMode::Crowd;
+  cfg.crowd_size = 0; // one 4-walker crowd
+  cfg.inner_threads = 1;
+  const auto serial = run_miniqmc(cfg);
+  cfg.inner_threads = 2;
+  const auto forked = run_miniqmc(cfg);
+  for (const char* section :
+       {kSectionDistance, kSectionJastrow, kSectionDeterminant, kSectionBspline}) {
+    EXPECT_GT(serial.profile.calls(section), 0u) << section;
+    EXPECT_EQ(serial.profile.calls(section), forked.profile.calls(section)) << section;
+  }
+  // Jastrow: one ratio per move, one per quadrature point, one full
+  // evaluation per step, for every walker.
+  const auto walker_steps = static_cast<std::size_t>(cfg.num_walkers * cfg.steps);
+  const auto nel = static_cast<std::size_t>(forked.num_electrons);
+  const auto nq = static_cast<std::size_t>(cfg.quadrature_points);
+  EXPECT_EQ(forked.profile.calls(kSectionJastrow), walker_steps * (nel * (1 + nq) + 1));
+}
+
+TEST(CrowdDriver, DelayedFlushTeamHandoffIsBitForBit)
+{
+  // 264 orbitals put two 256-column blocks in every delayed flush, so the
+  // flush resolves its walker's team: under MQC_CONTRACTS a team bound
+  // outside the walker fork aborts ("TeamHandle resolved outside its owning
+  // region").  A 4-walker crowd on a team of 2 (walker fork, serial
+  // flushes) and one-walker crowds on teams of 2 (no walker fork, forked
+  // flushes) must both reproduce the inner-1 run.
+  auto cfg = crowd_test_config();
+  cfg.num_splines = 264;
+  cfg.grid_size = 8;
+  cfg.steps = 1;
+  cfg.quadrature_points = 1;
+  cfg.spo = SpoLayout::AoSoA;
+  cfg.tile_size = 64;
+  cfg.optimized_dt_jastrow = true;
+  cfg.delay_rank = 4;
+  cfg.driver = DriverMode::Crowd;
+  for (const int crowd : {0, 1}) {
+    cfg.crowd_size = crowd;
+    cfg.inner_threads = 1;
+    const auto serial = run_miniqmc(cfg);
+    cfg.inner_threads = 2;
+    const auto forked = run_miniqmc(cfg);
+    expect_identical_trajectories(serial, forked, crowd == 0 ? "4-walker crowd" : "1-walker crowds");
+  }
+}
+
+TEST(CrowdDriver, OnlyOneWalkerCrowdsHandTheirWalkerTheInnerTeam)
+{
+  // prepare_crowd's determinant-team decision: a crowd of several walkers
+  // keeps its inner team for the walker fork, so its walkers flush
+  // serially; a one-walker crowd's walker gets the whole inner team.
+  auto cfg = crowd_test_config();
+  cfg.spo = SpoLayout::AoSoA;
+  cfg.tile_size = 16;
+  cfg.optimized_dt_jastrow = true;
+  cfg.delay_rank = 4;
+  const detail::ShardSet shards(cfg, 1);
+  for (const int cap : {0, 1}) {
+    std::vector<detail::WalkerState> walkers(static_cast<std::size_t>(cfg.num_walkers));
+    detail::CrowdSet crowds;
+    crowds.reblock(cfg.num_walkers, shards.size(), cap);
+    detail::init_crowd_walkers(shards, cfg, walkers, crowds, TeamHandle::of(2));
+    for (const auto& w : walkers) {
+      EXPECT_EQ(w.det_up.delayed().team().nthreads, cap == 1 ? 2 : 1) << "crowd cap " << cap;
+      EXPECT_EQ(w.det_dn.delayed().team().nthreads, cap == 1 ? 2 : 1) << "crowd cap " << cap;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
